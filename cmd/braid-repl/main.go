@@ -77,7 +77,7 @@ func main() {
 	comparator := flag.String("comparator", "braid", "data layer: braid | loose | exact | singlerel")
 	poolSize := flag.Int("pool-size", 1, "remote connection pool size (with -remote)")
 	frameTuples := flag.Int("frame-tuples", 0, "preferred tuples per response frame on the streamed protocol (0: server default)")
-	proto := flag.Int("proto", 0, "max wire protocol version: 1 legacy monolithic, 2 framed streaming (0: highest supported)")
+	proto := flag.Int("proto", 0, "max wire protocol version: 1 legacy monolithic, 3 framed streaming with typed batches; a cap below 3 speaks v1 (0: highest supported)")
 	traceEvery := flag.Int("trace-sample", 1, "record a trace for one in N queries for .trace (0: tracing off)")
 	flag.Parse()
 

@@ -121,7 +121,7 @@ type SourceStats struct {
 	EpochInvalidations int64
 
 	// Streamed-transport counters (populated when the remote client speaks
-	// the framed v2 wire protocol; zero on the monolithic transport).
+	// the framed wire protocol; zero on the monolithic transport).
 	FramesSent      int64   // protocol frames written to the remote DBMS
 	FramesRecv      int64   // protocol frames received from the remote DBMS
 	RemoteStreams   int64   // streamed exec results opened

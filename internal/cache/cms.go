@@ -89,7 +89,7 @@ type Options struct {
 	MaxQueue int
 	// Tracer, when non-nil, records spans for each query's lifecycle stages
 	// (parse, cache probe, subsumption, generalization, decomposition, remote
-	// fetch). Trace IDs propagate to the remote engine over the v2 wire, so a
+	// fetch). Trace IDs propagate to the remote engine over the framed wire, so a
 	// remote-miss query yields one trace spanning both tiers.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives the CMS and remote-client counters as
@@ -178,8 +178,8 @@ func (c *CMS) registerMetrics(reg *obs.Registry) {
 	})
 	reg.CounterFunc("braid_pool_requests_total", "Requests issued to the remote DBMS.", func() int64 { return c.rdi.Stats().Requests })
 	reg.CounterFunc("braid_pool_tuples_total", "Tuples shipped from the remote DBMS.", func() int64 { return c.rdi.Stats().TuplesReturned })
-	reg.CounterFunc("braid_pool_frames_sent_total", "Wire v2 frames written to the remote DBMS.", func() int64 { return c.rdi.Stats().FramesSent })
-	reg.CounterFunc("braid_pool_frames_recv_total", "Wire v2 frames received from the remote DBMS.", func() int64 { return c.rdi.Stats().FramesRecv })
+	reg.CounterFunc("braid_pool_frames_sent_total", "Framed-wire frames written to the remote DBMS.", func() int64 { return c.rdi.Stats().FramesSent })
+	reg.CounterFunc("braid_pool_frames_recv_total", "Framed-wire frames received from the remote DBMS.", func() int64 { return c.rdi.Stats().FramesRecv })
 	reg.CounterFunc("braid_pool_streams_total", "Streamed exec results opened.", func() int64 { return c.rdi.Stats().Streams })
 	reg.CounterFunc("braid_pool_streams_canceled_total", "Remote streams torn down mid-flight.", func() int64 { return c.rdi.Stats().StreamsCanceled })
 	reg.CounterFunc("braid_pool_health_probes_total", "Connection health probes sent.", func() int64 { return c.rdi.Stats().HealthProbes })

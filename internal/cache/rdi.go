@@ -19,7 +19,7 @@ import (
 type RDI struct {
 	client remotedb.Client
 	// tracer records remote-fetch spans (nil: untraced). The span's context
-	// flows into the client call, so the pooled v2 transport puts its trace ID
+	// flows into the client call, so the pooled framed transport puts its trace ID
 	// on the wire and the server's spans join the same trace.
 	tracer *obs.Tracer
 
@@ -132,7 +132,7 @@ func (r *RDI) FetchCtx(ctx context.Context, q *caql.Query) (*relation.Relation, 
 }
 
 // StreamCapable reports whether the remote client can deliver exec results
-// incrementally (remotedb.StreamClient, i.e. the pooled v2 transport).
+// incrementally (remotedb.StreamClient, i.e. the pooled framed transport).
 func (r *RDI) StreamCapable() bool {
 	_, ok := r.client.(remotedb.StreamClient)
 	return ok

@@ -10,7 +10,7 @@ import (
 	"repro/internal/remotedb"
 )
 
-// TestCrossTierTrace runs a remote-miss query through a CMS whose pooled v2
+// TestCrossTierTrace runs a remote-miss query through a CMS whose pooled framed
 // transport talks to a real TCP server, with one tracer wired into both
 // tiers (as a single-process deployment would share a ring): the CMS spans
 // and the server/engine spans must land under ONE trace ID, stitched by the

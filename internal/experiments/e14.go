@@ -12,12 +12,12 @@ import (
 	"repro/internal/remotedb"
 )
 
-// E14 measures the framed (wire v2) stream transport against the legacy
+// E14 measures the framed-wire stream transport against the legacy
 // monolithic protocol over real TCP connections.
 //
 // Part A — first-tuple latency. One client scans a large table. On v1 the
 // whole relation is encoded, shipped, and decoded before the caller sees
-// anything; on v2 the first frame arrives after frameTuples tuples, so the
+// anything; framed, the first frame arrives after frameTuples tuples, so the
 // time-to-first-tuple is O(one frame) instead of O(result). Frame size trades
 // first-tuple latency against per-frame overhead on the full drain.
 //
@@ -59,7 +59,7 @@ type E14Data struct {
 	ScanRows          int        `json:"scan_rows"`
 	FirstTuple        []E14Frame `json:"first_tuple"`
 	Throughput        []E14Pool  `json:"throughput"`
-	FirstTupleSpeedup float64    `json:"first_tuple_speedup"` // v1 / best v2
+	FirstTupleSpeedup float64    `json:"first_tuple_speedup"` // v1 / best framed
 	PoolScalingQPS    float64    `json:"pool_scaling_qps"`    // QPS(pool 8) / QPS(pool 1)
 }
 

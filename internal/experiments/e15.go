@@ -9,7 +9,7 @@ import (
 	"repro/internal/remotedb"
 )
 
-// E15 measures mid-stream failure recovery: what resumable v2 streams buy a
+// E15 measures mid-stream failure recovery: what resumable framed streams buy a
 // consumer when connections die while results are in flight.
 //
 // A client drains a streamed scan repeatedly against servers whose listeners

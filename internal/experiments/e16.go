@@ -11,7 +11,7 @@ import (
 )
 
 // E16 measures the cost-based optimizer and the pipelined execution of
-// joins and aggregates over the framed (wire v2) stream transport.
+// joins and aggregates over the framed-wire stream transport.
 //
 // Part A — first-tuple latency by query shape. A client streams three
 // query shapes over TCP: a single-table scan (the resumable ScanStream

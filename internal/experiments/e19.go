@@ -205,9 +205,9 @@ func RunE19Bench() (*E19Data, error) {
 // E19Render formats the measurement as the experiment table.
 func E19Render(d *E19Data) *Table {
 	t := &Table{
-		ID:    "E19",
-		Title: "morsel-driven parallel execution: speedup vs DOP",
-		Claim: "eligible plans split base-table scans into morsels claimed by a bounded worker pool; drains speed up with DOP under the per-morsel service-time model while the bounded exchange keeps first-tuple latency at the serial price",
+		ID:     "E19",
+		Title:  "morsel-driven parallel execution: speedup vs DOP",
+		Claim:  "eligible plans split base-table scans into morsels claimed by a bounded worker pool; drains speed up with DOP under the per-morsel service-time model while the bounded exchange keeps first-tuple latency at the serial price",
 		Header: []string{"shape", "dop", "drain(us)", "speedup", "tuples", "serverOps"},
 	}
 	for _, s := range d.Shapes {

@@ -81,3 +81,30 @@ func BenchmarkHashJoin(b *testing.B) {
 		Count(HashJoin(l.Iter(), r.Iter(), []JoinCond{{Left: 0, Right: 0}}))
 	}
 }
+
+// TestAppendAllGrowsGeometrically: materializing a stream in 256-tuple
+// batches (remotedb.DrainStream) must not reallocate the tuple slice once per
+// batch — that copies O(n²) tuple headers — but O(log n) times in total. It
+// counts backing-array changes rather than testing.AllocsPerRun, which under
+// -race also counts the temporary slice that slices.Grow appends from.
+func TestAppendAllGrowsGeometrically(t *testing.T) {
+	const batches, batchLen = 40, 256
+	batch := benchTuples(batchLen, 2)
+	r := New("drain", NewSchema(Attr{Name: "a", Kind: KindInt}, Attr{Name: "b", Kind: KindString}))
+	reallocs := 0
+	for i := 0; i < batches; i++ {
+		before := cap(r.tuples)
+		if err := r.AppendAll(batch); err != nil {
+			t.Fatal(err)
+		}
+		if cap(r.tuples) != before {
+			reallocs++
+		}
+	}
+	// append's growth policy (2× for small slices, easing toward 1.25×)
+	// needs ~10 reallocations from 0 to 40×256 tuples; 2·⌈log2 40⌉+2 = 14
+	// leaves slack, while regrowing once per batch (40) fails.
+	if reallocs > 14 {
+		t.Fatalf("AppendAll of %d×%d tuples reallocated %d times, want O(log n) (<= 14)", batches, batchLen, reallocs)
+	}
+}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -63,17 +64,13 @@ func (r *Relation) MustAppend(t Tuple) {
 // AppendValues constructs a tuple from the given values and appends it.
 func (r *Relation) AppendValues(vs ...Value) error { return r.Append(Tuple(vs)) }
 
-// Grow preallocates capacity for n additional tuples. Bulk loaders (wire
+// Grow ensures capacity for n additional tuples. Bulk loaders (wire
 // decoding, stream materialization) call it once per batch so the tuple slice
-// is not regrown tuple-by-tuple.
+// is not regrown tuple-by-tuple; growth is geometric, so a relation built from
+// many batches is reallocated O(log n) times, not once per batch.
 func (r *Relation) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if free := cap(r.tuples) - len(r.tuples); free < n {
-		grown := make([]Tuple, len(r.tuples), len(r.tuples)+n)
-		copy(grown, r.tuples)
-		r.tuples = grown
+	if n > 0 {
+		r.tuples = slices.Grow(r.tuples, n)
 	}
 }
 

@@ -268,11 +268,7 @@ func (e *Engine) CreateTable(name string, schema *relation.Schema) error {
 	if _, dup := e.tables[name]; dup {
 		return fmt.Errorf("remotedb: table %s already exists", name)
 	}
-	attrs := make([]wireAttr, 0, schema.Arity())
-	for _, a := range schema.Attrs() {
-		attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
-	}
-	if err := e.logLocked(&walRecord{Kind: walCreateTable, Name: name, Attrs: attrs}); err != nil {
+	if err := e.logLocked(&walRecord{Kind: walCreateTable, Name: name, Attrs: wireAttrs(schema)}); err != nil {
 		return err
 	}
 	e.applyCreateTable(name, schema)

@@ -6,7 +6,7 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the engine half of streamed (wire v2) execution: a SELECT
+// This file is the engine half of streamed (framed wire) execution: a SELECT
 // whose evaluation is a per-tuple pipeline — one table, per-tuple WHERE
 // conditions, plain projection — does not need to materialize its result
 // before the first tuple can ship. ExecuteSQLStream recognizes such

@@ -341,6 +341,81 @@ func TestTranslateConstOnlyHead(t *testing.T) {
 	}
 }
 
+// TestReassembleIdentityPassThrough: an all-variable head whose recipe is the
+// SQL row itself passes rows through without copying; a constant, a repeated
+// variable, an all-constant head, or a reordering recipe still builds a new
+// tuple, and every recipe still reassembles the right answer.
+func TestReassembleIdentityPassThrough(t *testing.T) {
+	e := newTestEngine(t)
+	src := caql.MapSource{}
+	for _, n := range []string{"emp", "dept"} {
+		sch, _ := e.Schema(n)
+		src[n] = relation.New(n, sch)
+	}
+	for _, tc := range []struct {
+		caql     string
+		identity bool
+	}{
+		{"q(N, D) :- emp(I, N, D, S)", true},
+		{"q(D, N) :- emp(I, N, D, S)", true}, // the select list follows the head
+		{"q(N, 7) :- emp(I, N, D, S)", false},
+		{"q(N, N) :- emp(I, N, D, S)", false},
+		{"q(N, D, N) :- emp(I, N, D, S)", false},
+		{"q(1) :- dept(X, Y)", false},
+	} {
+		q := caql.MustParse(tc.caql)
+		tr, err := TranslateCAQL(q, src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.caql, err)
+		}
+		res, _, err := e.ExecuteSQL(tr.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", tr.SQL, err)
+		}
+		want, err := caql.Eval(q, caql.MapSource{"emp": mustRel(t, e, "emp"), "dept": mustRel(t, e, "dept")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := relation.New("q", want.Schema())
+		for _, row := range res.Tuples() {
+			out, err := tr.ReassembleTuple(row)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.caql, err)
+			}
+			if shared := &out[0] == &row[0]; shared != tc.identity {
+				t.Fatalf("%s: row passed through = %v, want %v", tc.caql, shared, tc.identity)
+			}
+			got.MustAppend(out)
+		}
+		if !got.EqualAsBag(want) {
+			t.Fatalf("%s: reassembled %v, want %v", tc.caql, got, want)
+		}
+	}
+
+	// A reordering recipe (head position i reads select item 1-i) must swap
+	// values into a fresh tuple, never alias or reorder the row in place.
+	tr := &Translation{HeadIdx: []int{1, 0}, Consts: make([]relation.Value, 2)}
+	row := relation.Tuple{relation.Int(1), relation.Str("a")}
+	out, err := tr.ReassembleTuple(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0] == &row[0] || out[0].AsString() != "a" || out[1].AsInt() != 1 || row[0].AsInt() != 1 {
+		t.Fatalf("reordered reassembly: got %v from row %v", out, row)
+	}
+}
+
+// mustRel snapshots one engine table as a relation.
+func mustRel(t *testing.T, e *Engine, name string) *relation.Relation {
+	t.Helper()
+	r, _, err := e.ExecuteSQL("SELECT * FROM " + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Name = name
+	return r
+}
+
 func TestTranslateStaticallyFalse(t *testing.T) {
 	e := newTestEngine(t)
 	src := caql.MapSource{}

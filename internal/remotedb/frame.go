@@ -7,13 +7,21 @@ import (
 	"io"
 )
 
-// Wire protocol v2: after the hello handshake (wire.go) negotiates version 2,
-// a connection carries gob-encoded wireFrame values in both directions on the
+// Wire protocol v3: after the hello handshake (wire.go) negotiates version 3,
+// a connection carries wireFrame values in both directions. The frame
+// envelope — request, header, end and cancel frames — is gob-encoded on the
 // SAME per-connection gob encoder/decoder pair that carried the handshake.
 // Reusing the connection's encoder matters: gob transmits a type descriptor
 // the first time each type crosses an encoder, so a per-frame (or
 // per-request) encoder would resend descriptors on every message —
 // BenchmarkGobEncoderReuse in wire_bench_test.go measures the delta.
+//
+// Tuple batches do not go through gob's reflection: a frameBatch carries one
+// opaque Batch payload in the hand-written typed batch codec (batch.go),
+// which the server appends straight from relation.Tuple values and the client
+// decodes into one value arena per batch. Version 2 framed connections
+// shipped gob-encoded [][]wireValue batches; a peer that offers exactly 2 is
+// served v1 instead, so an old peer never reads a typed batch as an empty one.
 //
 // Frames are tagged with a request ID, so any number of requests can be in
 // flight on one connection and responses interleave at frame granularity: a
@@ -44,9 +52,9 @@ type wireFrame struct {
 
 	Req *wireRequest // frameReq
 
-	Name   string        // frameHeader: result relation name
-	Attrs  []wireAttr    // frameHeader; frameEnd for the "schema" op
-	Tuples [][]wireValue // frameBatch
+	Name  string     // frameHeader: result relation name
+	Attrs []wireAttr // frameHeader; frameEnd for the "schema" op
+	Batch []byte     // frameBatch: typed batch payload (batch.go)
 
 	// Resume, on a header frame, is the encoded resume token (resume.go) when
 	// this stream is resumable — empty for the materializing execution path.
@@ -63,8 +71,7 @@ type wireFrame struct {
 	Tables []string   // frameEnd for the "tables" op
 
 	// Epoch, on header and end frames, is the server's catalog generation —
-	// the same gob-ignored extension as wireResponse.Epoch (v1 peers never
-	// see it, pre-epoch v2 peers skip the unknown field).
+	// the same value wireResponse.Epoch carries on v1 connections.
 	Epoch uint64 // frameHeader, frameEnd
 }
 
@@ -106,8 +113,8 @@ func readFrame(dec *gob.Decoder) (*wireFrame, error) {
 }
 
 // clampFrameTuples bounds a frame-size request to sane limits: at least 1
-// tuple per frame, at most 64k (a frame is decoded as one allocation, so the
-// cap bounds peak decode memory per stream).
+// tuple per frame, at most maxBatchRows (a frame is decoded into one arena, so
+// the cap bounds peak decode memory per stream).
 func clampFrameTuples(n, fallback int) int {
 	if n <= 0 {
 		n = fallback
@@ -115,8 +122,8 @@ func clampFrameTuples(n, fallback int) int {
 	if n <= 0 {
 		n = DefaultFrameTuples
 	}
-	if n > 1<<16 {
-		n = 1 << 16
+	if n > maxBatchRows {
+		n = maxBatchRows
 	}
 	return n
 }

@@ -144,7 +144,7 @@ func (e *Engine) buildPlan(sel *SelectStmt) (*Plan, error) {
 	for _, r := range itemRefs {
 		projAttrs = append(projAttrs, scope.aliases[r.alias].Schema().Attr(r.col))
 	}
-	var sortResIdx []int    // projection positions, when every sort col is projected
+	var sortResIdx []int      // projection positions, when every sort col is projected
 	var sortWideRefs []colKey // all sort cols as wide refs, when any is not projected
 	needWide := false
 	if !hasAgg {

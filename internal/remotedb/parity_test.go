@@ -413,8 +413,8 @@ func TestPlannedErrorParity(t *testing.T) {
 		"SELECT nosuch FROM po",
 		"SELECT po.nosuch FROM po",
 		"SELECT x.id FROM po",
-		"SELECT id FROM po, cu",                   // ambiguous
-		"SELECT id, * FROM po",                    // star not alone
+		"SELECT id FROM po, cu",                                  // ambiguous
+		"SELECT id, * FROM po",                                   // star not alone
 		"SELECT grp, COUNT(*) FROM po GROUP BY grp ORDER BY amt", // not in result
 		"SELECT id FROM nosuch",
 	} {

@@ -439,7 +439,7 @@ func (e *Engine) openPlan(ctx context.Context, sel *SelectStmt, analyze bool) (*
 
 // executeSelectPlanned runs a SELECT through the cost-based planner and
 // materializes the streamed result (the Execute API returns whole
-// relations; the v2 wire path streams the PlanStream directly).
+// relations; the framed wire path streams the PlanStream directly).
 func (e *Engine) executeSelectPlanned(ctx context.Context, sel *SelectStmt) (*relation.Relation, int64, error) {
 	ps, err := e.openPlan(ctx, sel, false)
 	if err != nil {

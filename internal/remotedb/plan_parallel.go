@@ -28,10 +28,10 @@ import (
 // The optimizer decides serial vs parallel: LIMIT/TopN-dominated shapes
 // (where pull-based short-circuiting beats fan-out) and plans whose driver
 // is estimated under Engine.ParallelMinRows stay serial. Parallel plans keep
-// the v2 streaming contract but carry no resume token — their emission order
-// is nondeterministic — so a mid-stream failure surfaces as an error rather
-// than a corrupt skip-based resume (resilient_stream.go leaves tokenless
-// streams unwrapped by design).
+// the framed streaming contract but carry no resume token — their emission
+// order is nondeterministic — so a mid-stream failure surfaces as an error
+// rather than a corrupt skip-based resume (resilient_stream.go leaves
+// tokenless streams unwrapped by design).
 
 const (
 	// defaultMorselTuples is the scan split granularity: large enough that

@@ -16,7 +16,7 @@ import (
 	"repro/internal/relation"
 )
 
-// PoolClient is the wire-v2 transport: a pool of TCP connections, each
+// PoolClient is the framed-wire transport: a pool of TCP connections, each
 // carrying any number of in-flight requests as tagged frames, with responses
 // streamed back as tuple batches. It subsumes TCPClient (which remains as the
 // v1 legacy transport) and adds:
@@ -127,7 +127,8 @@ type PoolOptions struct {
 	// Size is the number of pooled connections (default 1).
 	Size int
 	// Proto is the highest protocol version to negotiate (default: the
-	// build's maximum). Set 1 to force the legacy monolithic protocol.
+	// build's maximum). Any value below 3 forces the legacy monolithic
+	// protocol: the framed protocol is version 3.
 	Proto int
 	// FrameTuples is the preferred response frame size in tuples, sent as a
 	// hint at negotiation (0: server default). The server clamps it.
@@ -143,8 +144,8 @@ type PoolOptions struct {
 	Redial bool
 	// DialTimeout bounds connection establishment (0: no bound).
 	DialTimeout time.Duration
-	// RequestTimeout bounds one v1 round trip, the v2 handshake, and each
-	// wait for the next frame of a v2 stream (0: no bound).
+	// RequestTimeout bounds one v1 round trip, the framed handshake, and each
+	// wait for the next frame of a framed stream (0: no bound).
 	RequestTimeout time.Duration
 	// HealthInterval enables active health management (0: disabled, death is
 	// discovered lazily per request). Every interval a background loop probes
@@ -431,7 +432,7 @@ func (p *PoolClient) Tables() ([]string, error) {
 
 // muxConn is one pooled connection: a shared write path (wmu serializes frame
 // writes), a reader goroutine that demultiplexes response frames to streams
-// by request ID (v2), and fallback serialized round trips (v1 peer).
+// by request ID (framed), and fallback serialized round trips (v1 peer).
 type muxConn struct {
 	p *PoolClient
 
@@ -463,7 +464,7 @@ type muxConn struct {
 	quarUntil time.Time // quarantined until this instant
 	jitter    *rand.Rand
 
-	wmu sync.Mutex // serializes frame writes (v2)
+	wmu sync.Mutex // serializes frame writes (framed protocol)
 	rmu sync.Mutex // serializes round trips (v1 fallback)
 }
 
@@ -557,18 +558,21 @@ func (c *muxConn) dialLocked(ctx context.Context) error {
 	if c.conn != nil {
 		c.conn.Close()
 	}
-	d := net.Dialer{Timeout: opts.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", c.p.addr)
-	if err != nil {
+	fail := func(err error) error {
 		c.conn, c.enc, c.dec = nil, nil, nil
 		c.broken = true
 		c.noteFailure()
 		return err
 	}
+	d := net.Dialer{Timeout: opts.DialTimeout}
+	conn, err := d.DialContext(ctx, "tcp", c.p.addr)
+	if err != nil {
+		return fail(err)
+	}
 	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
 	proto := protoV1
-	if opts.Proto >= protoV2 {
-		// Negotiate: a v2 server answers with its accepted version; a v1
+	if opts.Proto >= protoV3 {
+		// Negotiate: a framed server answers with its accepted version; a v1
 		// server reports hello as an unknown op, which IS the v1 answer.
 		if opts.RequestTimeout > 0 {
 			conn.SetDeadline(time.Now().Add(opts.RequestTimeout))
@@ -580,14 +584,21 @@ func (c *muxConn) dialLocked(ctx context.Context) error {
 		}
 		if err != nil {
 			conn.Close()
-			c.conn, c.enc, c.dec = nil, nil, nil
-			c.broken = true
-			c.noteFailure()
-			return &ProtocolError{Op: "hello", Err: err}
+			return fail(&ProtocolError{Op: "hello", Err: err})
 		}
 		conn.SetDeadline(time.Time{})
-		if resp.Err == "" && resp.Proto >= protoV2 {
-			proto = protoV2
+		switch {
+		case resp.Err == "" && resp.Proto >= protoV3:
+			proto = protoV3
+		case resp.Err == "" && resp.Proto == protoV2:
+			// A v2-era server has switched this connection to gob-batch
+			// framing, which this build does not speak. Fall back to v1 on a
+			// fresh connection that never says hello.
+			conn.Close()
+			if conn, err = d.DialContext(ctx, "tcp", c.p.addr); err != nil {
+				return fail(err)
+			}
+			enc, dec = gob.NewEncoder(conn), gob.NewDecoder(conn)
 		}
 	}
 	if c.p.shut.Load() {
@@ -604,7 +615,7 @@ func (c *muxConn) dialLocked(ctx context.Context) error {
 	c.broken = false
 	c.streams = make(map[uint64]*muxStream)
 	c.gen++
-	if proto >= protoV2 {
+	if proto >= protoV3 {
 		go c.readLoop(conn, dec, c.gen)
 	}
 	return nil
@@ -643,7 +654,7 @@ func (c *muxConn) teardownGen(err error, gen uint64) {
 	c.teardown(err)
 }
 
-// readLoop is the demultiplexer: one goroutine per v2 connection routes
+// readLoop is the demultiplexer: one goroutine per framed connection routes
 // response frames to their stream. Delivery blocks when a stream's window is
 // full — that is the client half of end-to-end backpressure (the stalled
 // reader stops draining the socket, TCP fills, the server's writer blocks).
@@ -696,7 +707,7 @@ func (c *muxConn) writeFrame(f *wireFrame) error {
 	return nil
 }
 
-// execStream starts one streamed exec request (v2), or falls back to a
+// execStream starts one streamed exec request (framed), or falls back to a
 // monolithic round trip replayed through the stream surface (v1 peer — which
 // ignores resume state, so a resuming caller sees no ResumeReporter and
 // skips client-side).
@@ -704,7 +715,7 @@ func (c *muxConn) execStream(ctx context.Context, sql, resume string, skip int64
 	c.mu.Lock()
 	proto := c.proto
 	c.mu.Unlock()
-	if proto < protoV2 {
+	if proto < protoV3 {
 		res, err := c.execV1(ctx, sql)
 		if err != nil {
 			return nil, err
@@ -807,7 +818,7 @@ func (c *muxConn) request(ctx context.Context, req *wireRequest) (*wireResponse,
 	c.mu.Lock()
 	proto := c.proto
 	c.mu.Unlock()
-	if proto < protoV2 {
+	if proto < protoV3 {
 		return c.roundTripV1(ctx, req)
 	}
 	id := c.p.nextID.Add(1)
@@ -948,7 +959,7 @@ func (c *muxConn) roundTripV1(ctx context.Context, req *wireRequest) (*wireRespo
 	return &resp, nil
 }
 
-// muxStream is one in-flight v2 request's client side. Not safe for
+// muxStream is one in-flight framed request's client side. Not safe for
 // concurrent use (single consumer), except fail/abort which may race from the
 // read loop and are serialized by deadOnce.
 type muxStream struct {
@@ -973,13 +984,13 @@ type muxStream struct {
 	cur []relation.Tuple
 	pos int
 
-	tuples     int64
-	ops        int64
-	sim        float64
-	firstSeen  bool
-	done       bool
-	settled    bool
-	termErr    error
+	tuples    int64
+	ops       int64
+	sim       float64
+	firstSeen bool
+	done      bool
+	settled   bool
+	termErr   error
 }
 
 // wait blocks for the next frame, honoring the stream context, the
@@ -1022,9 +1033,12 @@ func (st *muxStream) Next() (relation.Tuple, bool) {
 		switch f.Kind {
 		case frameBatch:
 			st.noteFirst()
-			tuples, derr := fromWireTuples(f.Tuples)
+			tuples, derr := decodeBatch(f.Batch)
+			if derr == nil && len(tuples) > 0 && len(tuples[0]) != st.schema.Arity() {
+				derr = &ProtocolError{Op: "exec", Err: fmt.Errorf("batch arity %d, header arity %d", len(tuples[0]), st.schema.Arity())}
+			}
 			if derr != nil {
-				st.abort(&ProtocolError{Op: "exec", Err: derr})
+				st.abort(derr)
 				return nil, false
 			}
 			st.tuples += int64(len(tuples))

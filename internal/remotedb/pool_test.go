@@ -24,12 +24,12 @@ func dialTestPool(t *testing.T, addr string, opts PoolOptions) *PoolClient {
 	return p
 }
 
-func TestPoolNegotiatesV2(t *testing.T) {
+func TestPoolNegotiatesV3(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
 	p := dialTestPool(t, addr, PoolOptions{})
-	if got := p.Proto(); got != protoV2 {
-		t.Fatalf("negotiated proto = %d, want %d", got, protoV2)
+	if got := p.Proto(); got != protoV3 {
+		t.Fatalf("negotiated proto = %d, want %d", got, protoV3)
 	}
 
 	res, err := p.Exec("SELECT name FROM emp WHERE dept = 10 ORDER BY name")
@@ -106,7 +106,7 @@ func TestPoolFallsBackToV1(t *testing.T) {
 }
 
 func TestPoolLegacyClientAgainstV2Server(t *testing.T) {
-	// The old monolithic client must keep working against a v2-capable
+	// The old monolithic client must keep working against a framed-capable
 	// server: it never says hello, so the connection stays v1.
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
@@ -117,7 +117,7 @@ func TestPoolLegacyClientAgainstV2Server(t *testing.T) {
 	defer c.Close()
 	res, err := c.Exec("SELECT * FROM dept")
 	if err != nil || res.Rel.Len() != 3 {
-		t.Fatalf("legacy client against v2 server: %v %v", res, err)
+		t.Fatalf("legacy client against framed server: %v %v", res, err)
 	}
 }
 

@@ -71,11 +71,11 @@ type ServerOptions struct {
 	// deterministically seeded stream.
 	Faults *ListenerFaults
 	// MaxProto caps the wire protocol version this server negotiates
-	// (0: the build's maximum). Set 1 to force every connection onto the
-	// legacy monolithic protocol regardless of what clients offer.
+	// (0: the build's maximum). Any value below 3 forces every connection
+	// onto the legacy monolithic protocol regardless of what clients offer.
 	MaxProto int
 	// FrameTuples is the default response frame size, in tuples, for framed
-	// (v2) connections whose client sent no preference (0: DefaultFrameTuples).
+	// (framed) connections whose client sent no preference (0: DefaultFrameTuples).
 	FrameTuples int
 	// ConnStreams bounds how many requests of one framed connection execute
 	// concurrently (0: 1). The default of one engine slot per connection
@@ -106,9 +106,9 @@ type ServerOptions struct {
 type ServerStats struct {
 	Shed     int64 // requests rejected by the MaxInflight admission limit
 	Timeouts int64 // requests abandoned at RequestTimeout
-	// FramesSent counts v2 protocol frames written (headers, batches, ends).
+	// FramesSent counts framed protocol frames written (headers, batches, ends).
 	FramesSent int64
-	// StreamsCanceled counts v2 streams torn down mid-flight by a client
+	// StreamsCanceled counts framed streams torn down mid-flight by a client
 	// cancel frame or connection-context cancellation.
 	StreamsCanceled int64
 	// StreamKills counts connections killed mid-stream by injected stream
@@ -134,7 +134,7 @@ type ListenerFaults struct {
 	DelayRate float64
 	// Delay is the stall duration for delay faults.
 	Delay time.Duration
-	// StreamKillRate is the per-stream probability (v2 streamed results only)
+	// StreamKillRate is the per-stream probability (framed streamed results only)
 	// of killing the CONNECTION mid-stream, after StreamKillAfter response
 	// frames — the fault resumable streams exist to survive. Unlike DropRate,
 	// which drops before any response, a stream kill leaves the client holding
@@ -171,9 +171,9 @@ func NewServerWithOptions(engine *Engine, opts ServerOptions) *Server {
 		reg.CounterFunc("braid_server_timeouts_total",
 			"Requests abandoned at the server request deadline.", s.timeouts.Load)
 		reg.CounterFunc("braid_server_frames_sent_total",
-			"Wire v2 response frames written (headers, batches, ends).", s.framesSent.Load)
+			"Framed-wire response frames written (headers, batches, ends).", s.framesSent.Load)
 		reg.CounterFunc("braid_server_streams_canceled_total",
-			"Wire v2 streams torn down mid-flight by cancel or disconnect.", s.streamsCanceled.Load)
+			"Framed-wire streams torn down mid-flight by cancel or disconnect.", s.streamsCanceled.Load)
 		reg.CounterFunc("braid_server_stream_kills_total",
 			"Connections severed mid-stream by injected stream faults.", s.streamKills.Load)
 		reg.CounterFunc("braid_server_stream_resumes_total",
@@ -324,11 +324,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		if req.Op == "hello" {
 			// Protocol negotiation rides the v1 exchange, so it works before
-			// either side knows the other's version. Agreeing on v2 flips this
-			// connection into framed mode on the same encoder/decoder pair.
+			// either side knows the other's version. Agreeing on v3 flips this
+			// connection into framed mode on the same encoder/decoder pair; a
+			// v2-era peer (gob batches) is served v1.
 			proto := protoV1
-			if s.maxProto() >= protoV2 && req.Proto >= protoV2 {
-				proto = protoV2
+			if s.maxProto() >= protoV3 && req.Proto >= protoV3 {
+				proto = protoV3
 			}
 			if s.opts.WriteTimeout > 0 {
 				conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
@@ -339,7 +340,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if s.opts.WriteTimeout > 0 {
 				conn.SetWriteDeadline(time.Time{})
 			}
-			if proto >= protoV2 {
+			if proto >= protoV3 {
 				s.serveFramed(conn, enc, dec, clampFrameTuples(req.FrameTuples, s.opts.FrameTuples))
 				return
 			}
@@ -350,6 +351,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // injected dropped connection
 		}
 		resp.Epoch = s.engine.Epoch()
+		resp.Rel = toWireRelation(resp.rel)
 		if s.opts.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		}
@@ -469,17 +471,13 @@ func (s *Server) handle(ctx context.Context, req *wireRequest) wireResponse {
 			rows = int64(len(rel.Tuples()))
 		}
 		s.logSlow(start, req.SQL, false, rows, 0, 1)
-		return wireResponse{Rel: toWireRelation(rel), Ops: ops}
+		return wireResponse{rel: rel, Ops: ops}
 	case "schema":
 		sch, err := s.engine.Schema(req.Name)
 		if err != nil {
 			return wireResponse{Err: err.Error()}
 		}
-		var attrs []wireAttr
-		for _, a := range sch.Attrs() {
-			attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
-		}
-		return wireResponse{Attrs: attrs}
+		return wireResponse{Attrs: wireAttrs(sch)}
 	case "stats":
 		st, err := s.engine.Stats(req.Name)
 		if err != nil {

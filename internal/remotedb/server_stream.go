@@ -9,9 +9,10 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 )
 
-// This file is the server half of wire protocol v2 (frame.go): after the
+// This file is the server half of the framed wire protocol (frame.go): after the
 // hello handshake flips a connection into framed mode, serveFramed reads
 // request/cancel frames, runs each request in its own goroutine gated by a
 // per-connection execution slot, and streams exec results back as
@@ -25,7 +26,7 @@ import (
 // full and its consumer is slow. The server therefore never buffers more than
 // one frame per stream beyond the socket.
 
-// framedConn is the per-connection state of one v2 session.
+// framedConn is the per-connection state of one framed session.
 type framedConn struct {
 	s    *Server
 	conn net.Conn
@@ -42,8 +43,8 @@ type framedConn struct {
 	sem chan struct{} // per-connection execution slots (ConnStreams)
 }
 
-// serveFramed serves one negotiated v2 connection until the peer goes away or
-// violates the protocol. On return, in-flight streams are canceled and their
+// serveFramed serves one negotiated framed connection until the peer goes
+// away or violates the protocol. On return, in-flight streams are canceled and their
 // handlers drained (on server shutdown they are instead allowed to finish, so
 // responses in flight are written before the connection drops).
 func (s *Server) serveFramed(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, frameTuples int) {
@@ -417,10 +418,7 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc EngineStream
 			return
 		}
 	}
-	var attrs []wireAttr
-	for _, a := range sc.Schema().Attrs() {
-		attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
-	}
+	attrs := wireAttrs(sc.Schema())
 	// The header of a resumable scan carries the resume token pinning its
 	// snapshot; a client that loses the connection mid-transfer re-issues the
 	// statement with it. Resumed acknowledges a honored token (server-side
@@ -441,18 +439,22 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc EngineStream
 	if killer.afterWrite() {
 		return
 	}
-	// The batch buffer is reused across frames: writeFrame serializes
-	// synchronously, so the tuples are on the wire before the next fill.
-	batch := make([][]wireValue, 0, fc.frameTuples)
+	// Rows are encoded straight from the engine's tuples into one reused
+	// batch buffer, outside the connection's write lock; write serializes
+	// the payload synchronously, so it is on the wire before the next fill.
+	enc := newBatchEncoder(sc.Schema().Arity())
 	for done := false; !done; {
-		batch = batch[:0]
-		for len(batch) < fc.frameTuples {
+		enc.reset()
+		for enc.rows < fc.frameTuples {
 			t, ok := sc.Next()
 			if !ok {
 				done = true
 				break
 			}
-			batch = append(batch, toWireTuple(t))
+			if err := enc.add(t); err != nil {
+				fc.writeEnd(id, wireCodeNone, err.Error(), 0)
+				return
+			}
 		}
 		select {
 		case <-ctx.Done():
@@ -465,11 +467,11 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc EngineStream
 			return
 		default:
 		}
-		if len(batch) > 0 {
-			if fc.write(&wireFrame{ID: id, Kind: frameBatch, Tuples: batch}) != nil {
+		if enc.rows > 0 {
+			if fc.write(&wireFrame{ID: id, Kind: frameBatch, Batch: enc.payload()}) != nil {
 				return
 			}
-			rows += int64(len(batch))
+			rows += int64(enc.rows)
 			frames++
 			if killer.afterWrite() {
 				return
@@ -498,12 +500,13 @@ func (fc *framedConn) streamScan(ctx context.Context, id uint64, sc EngineStream
 // shipped, for the slow-query log.
 func (fc *framedConn) streamResult(ctx context.Context, id uint64, resp *wireResponse, killer *streamKiller) (sent, frames int64) {
 	var (
-		name  string
-		attrs []wireAttr
-		rows  [][]wireValue
+		name   string
+		attrs  []wireAttr
+		tuples []relation.Tuple
+		arity  int
 	)
-	if resp.Rel != nil {
-		name, attrs, rows = resp.Rel.Name, resp.Rel.Attrs, resp.Rel.Tuples
+	if rel := resp.rel; rel != nil {
+		name, attrs, tuples, arity = rel.Name, wireAttrs(rel.Schema()), rel.Tuples(), rel.Schema().Arity()
 	}
 	// Materialized results carry no resume token: their tuple order is not
 	// guaranteed deterministic across executions (hash aggregation), so a
@@ -516,14 +519,22 @@ func (fc *framedConn) streamResult(ctx context.Context, id uint64, resp *wireRes
 	if killer.afterWrite() {
 		return
 	}
-	for start := 0; start < len(rows); start += fc.frameTuples {
+	enc := newBatchEncoder(arity)
+	for start := 0; start < len(tuples); start += fc.frameTuples {
 		if ctx.Err() != nil {
 			fc.s.streamsCanceled.Add(1)
 			fc.writeEnd(id, wireCodeCanceled, context.Canceled.Error(), 0)
 			return
 		}
-		end := min(start+fc.frameTuples, len(rows))
-		if fc.write(&wireFrame{ID: id, Kind: frameBatch, Tuples: rows[start:end]}) != nil {
+		end := min(start+fc.frameTuples, len(tuples))
+		enc.reset()
+		for _, t := range tuples[start:end] {
+			if err := enc.add(t); err != nil {
+				fc.writeEnd(id, wireCodeNone, err.Error(), 0)
+				return
+			}
+		}
+		if fc.write(&wireFrame{ID: id, Kind: frameBatch, Batch: enc.payload()}) != nil {
 			return
 		}
 		sent += int64(end - start)

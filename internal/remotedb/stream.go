@@ -43,7 +43,7 @@ type TupleStream interface {
 }
 
 // StreamClient is implemented by clients that can deliver exec results
-// incrementally (PoolClient over wire v2). ExecStream returns once the result
+// incrementally (PoolClient, framed). ExecStream returns once the result
 // header arrives; tuples then stream in frames.
 type StreamClient interface {
 	Client
@@ -51,7 +51,7 @@ type StreamClient interface {
 }
 
 // ResumableClient is implemented by stream clients that can re-issue a
-// streamed exec carrying a resume token (PoolClient over wire v2; FaultClient
+// streamed exec carrying a resume token (PoolClient, framed; FaultClient
 // passes through). Skip is the number of result tuples the caller already
 // delivered to its consumer: the server skips them when the pinned snapshot
 // survives, and otherwise serves a fresh stream whose header reports

@@ -33,7 +33,7 @@ func waitSpans(t *testing.T, tr *obs.Tracer, pred func([]*obs.Span) bool) []*obs
 	}
 }
 
-// TestWireTracePropagationV2: a client span's trace ID rides the v2 exec
+// TestWireTracePropagationV2: a client span's trace ID rides the framed exec
 // request, so the server's stream and engine spans land in the SAME trace —
 // the client and server rings stitch into one cross-tier timeline.
 func TestWireTracePropagationV2(t *testing.T) {

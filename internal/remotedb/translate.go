@@ -22,6 +22,11 @@ type Translation struct {
 	HeadIdx []int
 	// Consts holds the constant for each head position with HeadIdx -1.
 	Consts []relation.Value
+
+	// identity reports that the head recipe is the SQL row itself (HeadIdx is
+	// 0..n-1 over exactly n select items), so reassembly can pass rows
+	// through instead of copying each one.
+	identity bool
 }
 
 // TranslateCAQL compiles a CAQL conjunctive query into the SQL subset. Every
@@ -137,6 +142,10 @@ func TranslateCAQL(q *caql.Query, src caql.SchemaSource) (*Translation, error) {
 		s, _ := src.RelationSchema(q.Rels[0].Pred, len(q.Rels[0].Args))
 		sel.Items = append(sel.Items, SelectItem{Col: ColRef{Qualifier: sel.From[0].Alias, Column: s.Attr(0).Name}})
 	}
+	tr.identity = len(sel.Items) == len(tr.HeadIdx)
+	for i, idx := range tr.HeadIdx {
+		tr.identity = tr.identity && idx == i
+	}
 	tr.SQL = sel.String()
 	return tr, nil
 }
@@ -144,8 +153,13 @@ func TranslateCAQL(q *caql.Query, src caql.SchemaSource) (*Translation, error) {
 // ReassembleTuple rebuilds one CAQL head row from one SQL result row using
 // the translation's head recipe. It is the per-tuple kernel of Reassemble,
 // exposed so streamed results can be reassembled lazily as frames arrive
-// instead of after full materialization.
+// instead of after full materialization. An identity recipe returns the row
+// itself (tuples are immutable once produced), so the common all-variable
+// head costs no allocation.
 func (tr *Translation) ReassembleTuple(row relation.Tuple) (relation.Tuple, error) {
+	if tr.identity && len(row) == len(tr.HeadIdx) {
+		return row, nil
+	}
 	t := make(relation.Tuple, len(tr.HeadIdx))
 	for i, idx := range tr.HeadIdx {
 		if idx < 0 {

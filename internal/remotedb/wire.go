@@ -6,9 +6,10 @@ import (
 	"repro/internal/relation"
 )
 
-// Wire representation for the TCP protocol. relation.Value keeps its fields
-// unexported (by design), so the protocol uses explicit, versionable mirror
-// types encoded with encoding/gob.
+// Gob representation for the v1 protocol, the handshake and the WAL.
+// relation.Value keeps its fields unexported (by design), so these paths use
+// explicit, versionable mirror types encoded with encoding/gob. Framed (v3)
+// tuple batches do not: they use the typed batch codec of batch.go.
 
 type wireValue struct {
 	Kind uint8
@@ -65,23 +66,16 @@ func toWireRelation(r *relation.Relation) *wireRelation {
 	if r == nil {
 		return nil
 	}
-	w := &wireRelation{Name: r.Name}
-	for _, a := range r.Schema().Attrs() {
-		w.Attrs = append(w.Attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
-	}
-	for _, t := range r.Tuples() {
-		w.Tuples = append(w.Tuples, toWireTuple(t))
-	}
-	return w
+	return &wireRelation{Name: r.Name, Attrs: wireAttrs(r.Schema()), Tuples: toWireTuples(r.Tuples())}
 }
 
-// toWireTuple converts one tuple to its wire form.
-func toWireTuple(t relation.Tuple) []wireValue {
-	row := make([]wireValue, len(t))
-	for i, v := range t {
-		row[i] = toWireValue(v)
+// wireAttrs converts a schema to its wire form.
+func wireAttrs(sch *relation.Schema) []wireAttr {
+	var attrs []wireAttr
+	for _, a := range sch.Attrs() {
+		attrs = append(attrs, wireAttr{Name: a.Name, Kind: uint8(a.Kind)})
 	}
-	return row
+	return attrs
 }
 
 func fromWireRelation(w *wireRelation) (*relation.Relation, error) {
@@ -107,17 +101,19 @@ func fromWireRelation(w *wireRelation) (*relation.Relation, error) {
 
 // wireRequest is one protocol request. Op selects the action.
 //
-// Op "hello" is the protocol negotiation handshake introduced with wire v2:
-// a v2 client opens every connection with hello carrying its highest
-// supported version in Proto; a v2 server answers with the version it
-// accepts for this connection (wireResponse.Proto) and, when that is >= 2,
-// both sides switch the connection to framed mode (frame.go). A v1 server
-// answers hello with its usual "unknown op" semantic error, which a v2
-// client treats as a successful negotiation of v1 — so new clients
-// interoperate with old servers, and old clients (which never send hello)
-// keep speaking v1 to new servers.
+// Op "hello" is the protocol negotiation handshake: a framed-protocol client
+// opens every connection with hello carrying its highest supported version in
+// Proto; the server answers with the version it accepts for this connection
+// (wireResponse.Proto) and, when that is 3, both sides switch the connection
+// to framed mode (frame.go) with typed batch frames (batch.go). A hello
+// offering exactly 2 — a peer that only knows gob-encoded batches — is served
+// v1, as is any hello to a v1 server (which answers with its usual "unknown
+// op" semantic error, and a v3 client treats that as a negotiation of v1).
+// A v3 client that is answered 2 by a v2-era server redials and speaks v1, so
+// typed batches never meet a peer that would read them as empty. Old clients,
+// which never send hello, keep speaking v1 to new servers.
 // Op "ping" is a liveness probe: the server answers with an empty success
-// response (v1) or an empty frameEnd (v2) without touching the engine. A v1
+// response (v1) or an empty frameEnd (framed) without touching the engine. A v1
 // or pre-ping server answers with its "unknown op" semantic error — which is
 // still a response, so probes treat ANY reply as proof of liveness and only
 // transport/protocol failures as death.
@@ -131,7 +127,7 @@ type wireRequest struct {
 	// (hello only; 0 lets the server choose). The server clamps it.
 	FrameTuples int
 	// Resume is the encoded resume token of a re-issued streamed request
-	// ("exec" over v2 only): the client saw the original stream die after
+	// ("exec", framed only): the client saw the original stream die after
 	// delivering Skip tuples and asks the server to serve the remainder of
 	// the same snapshot. A server that cannot honor it (snapshot gone, bad
 	// token) serves a fresh stream and clears the header's Resumed flag.
@@ -149,10 +145,14 @@ type wireRequest struct {
 // Protocol versions.
 const (
 	protoV1 = 1 // monolithic request/response, one outstanding request per conn
-	protoV2 = 2 // framed: streamed tuple batches, request-ID multiplexing
+	// protoV2 framed connections shipped gob [][]wireValue batches. This build
+	// no longer speaks it; the constant only names what a v2-era peer offers
+	// or answers in the handshake, so both sides can fall back to v1.
+	protoV2 = 2
+	protoV3 = 3 // framed: typed batch frames, request-ID multiplexing
 
 	// protoMax is the highest version this build speaks.
-	protoMax = protoV2
+	protoMax = protoV3
 )
 
 // Wire error codes: Err carries the human-readable message, Code the machine
@@ -163,7 +163,7 @@ const (
 	wireCodeNone       = 0 // no error, or a semantic error (Err set)
 	wireCodeOverloaded = 1 // request shed by the server's admission limit
 	wireCodeDeadline   = 2 // request abandoned at the server's deadline
-	wireCodeCanceled   = 3 // stream stopped by a client cancel frame (v2)
+	wireCodeCanceled   = 3 // stream stopped by a client cancel frame (framed)
 )
 
 // wireResponse is one protocol response.
@@ -183,10 +183,15 @@ type wireResponse struct {
 	// omits the zero value entirely, so old servers cost new clients nothing.
 	// The CMS uses it to detect that cached views predate the backend state.
 	Epoch uint64
+
+	// rel is an exec result before conversion. Gob skips unexported fields:
+	// the v1 path converts it into Rel just before encoding, and the framed
+	// path ships it as typed batches without building gob rows at all.
+	rel *relation.Relation
 }
 
-// toWireTuples converts a slice of tuples to wire rows (one response frame's
-// payload).
+// toWireTuples converts a slice of tuples to gob mirror rows (a v1 result or
+// a WAL insert record).
 func toWireTuples(tuples []relation.Tuple) [][]wireValue {
 	rows := make([][]wireValue, len(tuples))
 	for i, t := range tuples {

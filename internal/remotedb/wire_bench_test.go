@@ -9,18 +9,28 @@ import (
 	"repro/internal/relation"
 )
 
-// benchFrame builds a representative response frame: one batch of n tuples of
-// (int, int, string) — the shape the framed transport ships on every scan.
-func benchFrame(n int) *wireFrame {
-	tuples := make([][]wireValue, n)
+// benchTuples builds n tuples of (int, int, string) — the shape the framed
+// transport ships on every scan.
+func benchTuples(n int) []relation.Tuple {
+	tuples := make([]relation.Tuple, n)
 	for i := range tuples {
-		tuples[i] = []wireValue{
-			{Kind: 1, I: int64(i)},
-			{Kind: 1, I: int64(i % 97)},
-			{Kind: 3, S: fmt.Sprintf("tag-%03d", i%251)},
+		tuples[i] = relation.Tuple{
+			relation.Int(int64(i)),
+			relation.Int(int64(i % 97)),
+			relation.Str(fmt.Sprintf("tag-%03d", i%251)),
 		}
 	}
-	return &wireFrame{ID: 7, Kind: frameBatch, Tuples: tuples}
+	return tuples
+}
+
+// benchFrame builds a representative response frame: one typed batch of n
+// benchTuples.
+func benchFrame(n int) *wireFrame {
+	payload, err := encodeBatch(benchTuples(n), 3)
+	if err != nil {
+		panic(err)
+	}
+	return &wireFrame{ID: 7, Kind: frameBatch, Batch: payload}
 }
 
 // BenchmarkGobEncoderReuse measures why the transport keeps one gob encoder

@@ -79,7 +79,7 @@ func TestQuickWireTupleRoundTrip(t *testing.T) {
 		for i := range in {
 			in[i] = randomValue(rng)
 		}
-		out, err := fromWireTuples([][]wireValue{toWireTuple(in)})
+		out, err := fromWireTuples(toWireTuples([]relation.Tuple{in}))
 		if err != nil || len(out) != 1 || len(out[0]) != n {
 			return false
 		}
@@ -112,7 +112,7 @@ func encodeFrames(t *testing.T, frames ...*wireFrame) []byte {
 func sampleFrames() []*wireFrame {
 	return []*wireFrame{
 		{ID: 1, Kind: frameHeader, Name: "result", Attrs: []wireAttr{{Name: "x", Kind: 1}}},
-		{ID: 1, Kind: frameBatch, Tuples: [][]wireValue{{{Kind: 1, I: 42}}, {{Kind: 0}}}},
+		{ID: 1, Kind: frameBatch, Batch: mustEncodeBatch([]relation.Tuple{{relation.Int(42)}, {relation.Null()}}, 1)},
 		{ID: 1, Kind: frameEnd, Ops: 2},
 	}
 }
