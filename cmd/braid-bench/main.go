@@ -69,7 +69,9 @@ type benchData struct {
 // regression messages. Tolerances are deliberately generous — CI machines
 // vary a lot — so only a collapse (not noise) fails:
 //
-//   - E14 speedup/scaling ratios may not drop below 40% of baseline;
+//   - E14 at frame 512 has fixed absolute bounds, baseline or not: the first
+//     tuple within 10% of the drain time and at most 0.1 allocations per
+//     tuple; pool scaling may not drop below 40% of baseline;
 //   - E15 resume-on completion is an INVARIANT (must stay at 100%), and the
 //     resume-off control must remain strictly worse (else E15 proves nothing);
 //   - E16 first-tuple and ops ratios may not drop below 40% of baseline, the
@@ -99,9 +101,18 @@ func diffBaseline(cur, base benchData) []string {
 				fmt.Sprintf("%s collapsed: %.2f vs baseline %.2f (floor 40%%)", name, cur, base))
 		}
 	}
-	if cur.E14 != nil && base.E14 != nil {
-		ratio("E14 first-tuple speedup", cur.E14.FirstTupleSpeedup, base.E14.FirstTupleSpeedup)
-		ratio("E14 pool-scaling QPS", cur.E14.PoolScalingQPS, base.E14.PoolScalingQPS)
+	if cur.E14 != nil {
+		if r := cur.E14.FirstTupleDrainRatio; r > experiments.E14MaxFirstTupleDrainRatio {
+			regressions = append(regressions,
+				fmt.Sprintf("E14 first tuple at %.3f of the drain time (must be <= %.2f)", r, experiments.E14MaxFirstTupleDrainRatio))
+		}
+		if a := cur.E14.AllocsPerTuple; a > experiments.E14MaxAllocsPerTuple {
+			regressions = append(regressions,
+				fmt.Sprintf("E14 %.3f allocations per tuple (must be <= %.2f)", a, experiments.E14MaxAllocsPerTuple))
+		}
+		if base.E14 != nil {
+			ratio("E14 pool-scaling QPS", cur.E14.PoolScalingQPS, base.E14.PoolScalingQPS)
+		}
 	}
 	if cur.E16 != nil && base.E16 != nil {
 		ratio("E16 join first-tuple speedup", cur.E16.JoinFirstTupleSpeedup, base.E16.JoinFirstTupleSpeedup)

@@ -237,7 +237,10 @@ func Run(cfg Config) (Result, error) {
 	}
 	// Shard-lock health: a canceled or panicked query must never leave a
 	// cache shard locked. A fresh session probing every relation would hang
-	// here if one did.
+	// here if one did. The probe checks the CMS, not fault tolerance, so
+	// injection stops first: an injected panic on the probe itself would be
+	// a false failure.
+	fault.Stop()
 	if err := probe(cms); err != nil {
 		return res, fmt.Errorf("chaos: post-storm probe failed (shard lock or session registry unhealthy): %w", err)
 	}

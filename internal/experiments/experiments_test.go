@@ -252,11 +252,12 @@ func TestE12Shape(t *testing.T) {
 }
 
 // TestE14Shape runs the stream-transport experiment at a reduced scale and
-// checks the directional claims: streaming beats the monolithic transport on
-// first-tuple latency, and pooled throughput grows with the pool against the
-// session-serial 1ms-per-request remote. The full-scale acceptance ratios
-// (5x / 3x) are asserted by braid-bench runs, not here — a loaded CI host
-// gets a conservative floor instead.
+// checks the directional claims: the first tuple arrives early in the drain
+// without an allocation per tuple, and pooled throughput grows with the pool
+// against the session-serial 1ms-per-request remote. The full-scale bounds
+// (ratio <= 0.10, allocs/tuple <= 0.10, 3x scaling) are asserted by
+// braid-bench runs, not here — a loaded CI host gets a conservative floor
+// instead.
 func TestE14Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP measurement in short mode")
@@ -265,23 +266,23 @@ func TestE14Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.FirstTuple) != 4 || len(d.Throughput) != 3 {
+	if len(d.FirstTuple) != 3 || len(d.Throughput) != 3 {
 		t.Fatalf("unexpected shape: %+v", d)
-	}
-	if d.FirstTuple[0].Transport != "v1-monolithic" {
-		t.Fatalf("row 0 should be v1, got %+v", d.FirstTuple[0])
 	}
 	for _, f := range d.FirstTuple {
 		if f.Tuples != 20000 {
-			t.Errorf("%s/%d returned %d tuples, want 20000", f.Transport, f.FrameTuples, f.Tuples)
+			t.Errorf("frame %d returned %d tuples, want 20000", f.FrameTuples, f.Tuples)
 		}
 	}
+	if !(d.AllocsPerTuple > 0 && d.AllocsPerTuple <= 1) {
+		t.Errorf("%.3f allocations per tuple at frame 512, want in (0, 1]", d.AllocsPerTuple)
+	}
 	if raceEnabled {
-		t.Logf("race detector on: skipping ratio floors (speedup %.2fx, scaling %.2fx)",
-			d.FirstTupleSpeedup, d.PoolScalingQPS)
+		t.Logf("race detector on: skipping timing floors (first/drain %.3f, scaling %.2fx)",
+			d.FirstTupleDrainRatio, d.PoolScalingQPS)
 	} else {
-		if !(d.FirstTupleSpeedup > 1.5) {
-			t.Errorf("streaming first-tuple speedup %.2fx, want > 1.5x", d.FirstTupleSpeedup)
+		if !(d.FirstTupleDrainRatio > 0 && d.FirstTupleDrainRatio < 0.5) {
+			t.Errorf("first tuple at %.3f of the drain time at frame 512, want < 0.5", d.FirstTupleDrainRatio)
 		}
 		if !(d.PoolScalingQPS > 1.5) {
 			t.Errorf("pool 1->8 QPS scaling %.2fx, want > 1.5x", d.PoolScalingQPS)

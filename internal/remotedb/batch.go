@@ -21,7 +21,7 @@ import (
 //	         | (empty)                     kind 0 (NULL)
 //
 // Kind bytes are relation.Kind values, the same numbering as the gob
-// wireValue mirror of v1 results and WAL records. Every value costs
+// wireValue mirror of WAL records. Every value costs
 // at least its kind byte, so rows*arity <= len(payload) bounds the decoder's
 // allocations by the bytes actually received.
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"net"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -308,7 +307,7 @@ func BenchmarkBatchCodec(b *testing.B) {
 			}
 		}
 	})
-	// The gob row codec (v2 batches; still the v1 result and WAL encoding),
+	// The gob row codec (the WAL row encoding, and v2-era batches),
 	// measured as its steady state on a reused encoder/decoder pair.
 	var buf bytes.Buffer
 	genc := gob.NewEncoder(&buf)
@@ -347,111 +346,4 @@ func BenchmarkBatchCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestV2PeerServedV1: a v2-era client, which offers exactly 2 and expects
-// gob-encoded batches, is answered with v1 — never with typed batch frames it
-// would misread — and its v1 answers match the engine's.
-func TestV2PeerServedV1(t *testing.T) {
-	addr, e, cleanup := startTestServer(t)
-	defer cleanup()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	var hello wireResponse
-	if err := enc.Encode(&wireRequest{Op: "hello", Proto: protoV2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&hello); err != nil || hello.Err != "" || hello.Proto != protoV1 {
-		t.Fatalf("hello offering 2: proto %d, err %q / %v; want v1", hello.Proto, hello.Err, err)
-	}
-	const sql = "SELECT name, salary FROM emp WHERE dept = 10 ORDER BY name"
-	var resp wireResponse
-	if err := enc.Encode(&wireRequest{Op: "exec", SQL: sql}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil || resp.Err != "" {
-		t.Fatalf("v1 exec after hello: %v %q", err, resp.Err)
-	}
-	got, err := fromWireRelation(resp.Rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := e.ExecuteSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || !got.EqualAsBag(want) {
-		t.Fatalf("v1 answer to a v2 peer: got %v, want %v", got, want)
-	}
-}
-
-// TestV3ClientFallsBackFromV2Server: a v2-era server answers the v3 hello
-// with 2 and flips that connection to gob batches. The client must not use
-// it; it redials, speaks v1 without a handshake, and its answers match.
-func TestV3ClientFallsBackFromV2Server(t *testing.T) {
-	e := newTestEngine(t)
-	srv := NewServer(e)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	// Buffered so a redial (the pool's health loop) never blocks the fake
-	// server on a hello nobody reads.
-	hellos := make(chan int, 16)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-				for {
-					var req wireRequest
-					if dec.Decode(&req) != nil {
-						return
-					}
-					if req.Op == "hello" {
-						// A v2 server would now expect gob frames here, which
-						// a client that proceeded on this connection would
-						// fail on; the client must redial instead.
-						hellos <- req.Proto
-						enc.Encode(wireResponse{Proto: protoV2})
-						return
-					}
-					resp, _ := srv.dispatch(&req)
-					resp.Rel = toWireRelation(resp.rel)
-					if enc.Encode(resp) != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-
-	p := dialTestPool(t, ln.Addr().String(), PoolOptions{})
-	if got := <-hellos; got != protoV3 {
-		t.Fatalf("client offered %d, want %d", got, protoV3)
-	}
-	if got := p.Proto(); got != protoV1 {
-		t.Fatalf("negotiated proto = %d, want v1 after a v2 answer", got)
-	}
-	const sql = "SELECT * FROM emp"
-	res, err := p.Exec(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := e.ExecuteSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Rel.EqualAsBag(want) {
-		t.Fatalf("v1 fallback answer: got %v, want %v", res.Rel, want)
-	}
 }

@@ -63,7 +63,7 @@ func BenchmarkSQLAggregate(b *testing.B) {
 	}
 }
 
-func BenchmarkTCPRoundTrip(b *testing.B) {
+func BenchmarkPoolRoundTrip(b *testing.B) {
 	e := benchEngine(b, 1000)
 	srv := NewServer(e)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -71,7 +71,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialTCP(addr, DefaultCosts())
+	c, err := DialPool(addr, PoolOptions{Costs: DefaultCosts()})
 	if err != nil {
 		b.Fatal(err)
 	}

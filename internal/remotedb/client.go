@@ -17,7 +17,7 @@ type Result struct {
 
 // Client is the connection surface the CMS's Remote DBMS Interface uses.
 // Implementations: InProcClient (direct engine calls with simulated costs)
-// and TCPClient (a real wire protocol over net). Both account identical
+// and PoolClient (the framed wire protocol over net). Both account identical
 // request/tuple statistics so experiments can run on either transport.
 type Client interface {
 	// Exec parses and executes one DML statement.
@@ -47,7 +47,7 @@ type ContextClient interface {
 }
 
 // EpochReporter is implemented by clients that observe the server's catalog
-// epoch on responses (PoolClient, TCPClient, InProcClient). The CMS uses the
+// epoch on responses (PoolClient, InProcClient). The CMS uses the
 // high-water mark to detect that cached views were built against a backend
 // state the server has since moved past.
 type EpochReporter interface {

@@ -44,8 +44,9 @@ var ErrBrokenConn = errors.New("remotedb: connection broken")
 var ErrOverloaded = errors.New("remotedb: server overloaded, request shed")
 
 // ErrProtocol is the sentinel for wire-protocol violations on the framed
-// transport: a corrupted or truncated frame, an unknown frame kind, a frame
-// for the wrong direction, a malformed typed batch payload. A frame-level
+// transport: a peer that is not a v3 peer (refused at the hello handshake), a
+// corrupted or truncated frame, an unknown frame kind, a frame for the wrong
+// direction, a malformed typed batch payload. A frame-level
 // violation desynchronizes the gob stream, so the connection is torn down; a
 // malformed batch payload kills only its own stream. Match with errors.Is.
 var ErrProtocol = errors.New("remotedb: wire protocol violation")

@@ -22,10 +22,11 @@ type FaultClient struct {
 	inner Client
 	cfg   FaultConfig
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	down   bool
-	counts FaultCounts
+	mu      sync.Mutex
+	rng     *rand.Rand
+	down    bool
+	stopped bool
+	counts  FaultCounts
 }
 
 // FaultConfig parameterizes the injected fault mix. Rates are probabilities
@@ -37,8 +38,8 @@ type FaultConfig struct {
 	// ErrorRate injects a transport error (request lost, no side effects).
 	ErrorRate float64
 	// DropRate injects a dropped connection: the request fails and, when the
-	// inner client is a *TCPClient, its connection is torn down so redial
-	// machinery is exercised.
+	// inner client is a *PoolClient, one of its connections is torn down so
+	// redial machinery is exercised.
 	DropRate float64
 	// HangRate makes the request stall for HangFor before completing
 	// normally — the shape a per-request deadline must catch.
@@ -104,6 +105,15 @@ func (f *FaultClient) SetDown(down bool) {
 	f.mu.Unlock()
 }
 
+// Stop turns injection off for good: later requests, and the streams they
+// establish, pass through to the inner client untouched. SetDown still
+// applies, and Counts keeps what was injected before.
+func (f *FaultClient) Stop() {
+	f.mu.Lock()
+	f.stopped = true
+	f.mu.Unlock()
+}
+
 // Counts returns the injected-fault tallies so far.
 func (f *FaultClient) Counts() FaultCounts {
 	f.mu.Lock()
@@ -123,6 +133,10 @@ func (f *FaultClient) maybeFault(op string) error {
 		f.counts.Refusals++
 		f.mu.Unlock()
 		return &TransportError{Op: op, Err: ErrRemoteUnavailable}
+	}
+	if f.stopped {
+		f.mu.Unlock()
+		return nil
 	}
 	roll := f.rng.Float64()
 	var delay time.Duration
@@ -149,10 +163,7 @@ func (f *FaultClient) maybeFault(op string) error {
 
 	if err != nil {
 		if _, isDrop := errorIsDrop(err); isDrop {
-			switch c := f.inner.(type) {
-			case *TCPClient:
-				c.breakConn()
-			case *PoolClient:
+			if c, ok := f.inner.(*PoolClient); ok {
 				c.breakConn()
 			}
 		}
@@ -252,6 +263,10 @@ func (f *FaultClient) maybeFaultStream(st TupleStream) TupleStream {
 		return st
 	}
 	f.mu.Lock()
+	if f.stopped {
+		f.mu.Unlock()
+		return st
+	}
 	roll := f.rng.Float64()
 	var kind uint8
 	switch {
@@ -299,10 +314,7 @@ func (fs *faultStream) Next() (relation.Tuple, bool) {
 			// pooled inner client (exercising quarantine + redial) and fail
 			// this stream with the transport error its consumer would see.
 			fs.inner.Close()
-			switch c := fs.f.inner.(type) {
-			case *TCPClient:
-				c.breakConn()
-			case *PoolClient:
+			if c, ok := fs.f.inner.(*PoolClient); ok {
 				c.breakConn()
 			}
 			fs.err = &TransportError{Op: "exec", Err: errInjectedDrop}

@@ -1,6 +1,7 @@
 package remotedb
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -52,6 +53,48 @@ func TestFaultClientDeterministic(t *testing.T) {
 	if same == len(a) {
 		t.Fatal("different seeds produced identical fault streams")
 	}
+}
+
+// TestFaultClientStop: after Stop, a client configured to fail and panic on
+// every request passes requests and streams through, and the counts keep
+// what was injected before.
+func TestFaultClientStop(t *testing.T) {
+	e := newTestEngine(t)
+	fc := NewFaultClient(NewInProcClient(e, DefaultCosts()), FaultConfig{
+		Seed: 1, ErrorRate: 0.5, PanicRate: 0.5, StreamCorruptRate: 1,
+	})
+	for i := 0; i < 20; i++ {
+		func() {
+			defer func() { recover() }()
+			fc.Exec("SELECT * FROM dept")
+		}()
+	}
+	before := fc.Counts()
+	if before.Errors == 0 || before.Panics == 0 {
+		t.Fatalf("no faults injected before Stop: %+v", before)
+	}
+	fc.Stop()
+	for i := 0; i < 20; i++ {
+		if _, err := fc.Exec("SELECT * FROM dept"); err != nil {
+			t.Fatalf("request %d after Stop failed: %v", i, err)
+		}
+	}
+	rel, err := DrainStream("dept", mustStream(t, fc))
+	if err != nil || rel.Len() != 3 {
+		t.Fatalf("stream after Stop: %v rows, %v", rel, err)
+	}
+	if after := fc.Counts(); after != before {
+		t.Fatalf("counts moved after Stop: %+v -> %+v", before, after)
+	}
+}
+
+func mustStream(t *testing.T, c StreamClient) TupleStream {
+	t.Helper()
+	st, err := c.ExecStream(context.Background(), "SELECT * FROM dept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestFaultClientDownAndTransience(t *testing.T) {

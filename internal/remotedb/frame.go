@@ -5,10 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
-// Wire protocol v3: after the hello handshake (wire.go) negotiates version 3,
-// a connection carries wireFrame values in both directions. The frame
+// Wire protocol v3, the only one: after the hello handshake (wire.go), a
+// connection carries wireFrame values in both directions. The frame
 // envelope — request, header, end and cancel frames — is gob-encoded on the
 // SAME per-connection gob encoder/decoder pair that carried the handshake.
 // Reusing the connection's encoder matters: gob transmits a type descriptor
@@ -19,9 +20,7 @@ import (
 // Tuple batches do not go through gob's reflection: a frameBatch carries one
 // opaque Batch payload in the hand-written typed batch codec (batch.go),
 // which the server appends straight from relation.Tuple values and the client
-// decodes into one value arena per batch. Version 2 framed connections
-// shipped gob-encoded [][]wireValue batches; a peer that offers exactly 2 is
-// served v1 instead, so an old peer never reads a typed batch as an empty one.
+// decodes into one value arena per batch.
 //
 // Frames are tagged with a request ID, so any number of requests can be in
 // flight on one connection and responses interleave at frame granularity: a
@@ -70,8 +69,8 @@ type wireFrame struct {
 	Stats  TableStats // frameEnd for the "stats" op
 	Tables []string   // frameEnd for the "tables" op
 
-	// Epoch, on header and end frames, is the server's catalog generation —
-	// the same value wireResponse.Epoch carries on v1 connections.
+	// Epoch, on header and end frames, is the server's catalog generation.
+	// The CMS uses it to detect that cached views predate the backend state.
 	Epoch uint64 // frameHeader, frameEnd
 }
 
@@ -110,6 +109,45 @@ func readFrame(dec *gob.Decoder) (*wireFrame, error) {
 		return nil, &ProtocolError{Op: "read frame", Err: errors.New("request frame without a request")}
 	}
 	return &f, nil
+}
+
+// readHello reads a connection's first message on the server side, which
+// must be a hello offering protocol 3 or later. A clean close before it is
+// io.EOF and a read deadline or closed socket is returned as is; anything
+// else — garbage, a truncated message, another op, an older offer — is a
+// typed *ProtocolError.
+func readHello(dec *gob.Decoder) (*wireRequest, error) {
+	var req wireRequest
+	if err := dec.Decode(&req); err != nil {
+		switch {
+		case errors.Is(err, io.EOF):
+			return nil, io.EOF
+		case errors.Is(err, net.ErrClosed) || isTimeout(err):
+			return nil, err
+		}
+		return nil, &ProtocolError{Op: "hello", Err: err}
+	}
+	switch {
+	case req.Op != "hello":
+		return nil, &ProtocolError{Op: "hello", Err: fmt.Errorf("first request is %q, not hello", req.Op)}
+	case req.Proto < protoV3:
+		return nil, &ProtocolError{Op: "hello", Err: fmt.Errorf("peer offers protocol %d, server speaks %d", req.Proto, protoV3)}
+	}
+	return &req, nil
+}
+
+// helloReply checks the server's answer to the client's hello: only an
+// accepted protocol 3 lets the connection proceed. A refusal, an older
+// version or an "unknown op" from a pre-handshake server is a typed
+// *ProtocolError.
+func helloReply(resp *wireResponse) error {
+	switch {
+	case resp.Err != "":
+		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server refused: %s", resp.Err)}
+	case resp.Proto != protoV3:
+		return &ProtocolError{Op: "hello", Err: fmt.Errorf("server answered protocol %d, want %d", resp.Proto, protoV3)}
+	}
+	return nil
 }
 
 // clampFrameTuples bounds a frame-size request to sane limits: at least 1

@@ -24,13 +24,10 @@ func dialTestPool(t *testing.T, addr string, opts PoolOptions) *PoolClient {
 	return p
 }
 
-func TestPoolNegotiatesV3(t *testing.T) {
+func TestPoolRoundTrip(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
 	p := dialTestPool(t, addr, PoolOptions{})
-	if got := p.Proto(); got != protoV3 {
-		t.Fatalf("negotiated proto = %d, want %d", got, protoV3)
-	}
 
 	res, err := p.Exec("SELECT name FROM emp WHERE dept = 10 ORDER BY name")
 	if err != nil {
@@ -65,59 +62,6 @@ func TestPoolNegotiatesV3(t *testing.T) {
 	}
 	if stats.FirstTupleNS <= 0 {
 		t.Fatalf("first-tuple latency not recorded: %+v", stats)
-	}
-}
-
-func TestPoolFallsBackToV1(t *testing.T) {
-	e := newTestEngine(t)
-	srv := NewServerWithOptions(e, ServerOptions{MaxProto: 1})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	p := dialTestPool(t, addr, PoolOptions{Size: 2})
-	if got := p.Proto(); got != protoV1 {
-		t.Fatalf("negotiated proto = %d, want %d (fallback)", got, protoV1)
-	}
-	res, err := p.Exec("SELECT * FROM dept")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel.Len() != 3 {
-		t.Fatalf("v1-fallback exec wrong: %v", res.Rel)
-	}
-	// Streaming surface still works (materialized under the hood).
-	st, err := p.ExecStream(context.Background(), "SELECT * FROM dept")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, ok := st.Next(); ok; _, ok = st.Next() {
-		n++
-	}
-	if n != 3 || st.Err() != nil {
-		t.Fatalf("v1-fallback stream wrong: n=%d err=%v", n, st.Err())
-	}
-	if sch, err := p.RelationSchema("emp", 4); err != nil || sch.Arity() != 4 {
-		t.Fatalf("v1-fallback schema wrong: %v %v", sch, err)
-	}
-}
-
-func TestPoolLegacyClientAgainstV2Server(t *testing.T) {
-	// The old monolithic client must keep working against a framed-capable
-	// server: it never says hello, so the connection stays v1.
-	addr, _, cleanup := startTestServer(t)
-	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.Exec("SELECT * FROM dept")
-	if err != nil || res.Rel.Len() != 3 {
-		t.Fatalf("legacy client against framed server: %v %v", res, err)
 	}
 }
 
@@ -173,6 +117,9 @@ func TestPoolSemanticErrorKeepsConnection(t *testing.T) {
 	}
 	if _, err := p.Exec("SELECT * FROM dept"); err != nil {
 		t.Fatalf("connection unusable after semantic error: %v", err)
+	}
+	if _, err := p.RelationSchema("missing", -1); err == nil || IsTransient(err) {
+		t.Fatalf("schema error should propagate as semantic, got %v", err)
 	}
 }
 
@@ -333,12 +280,45 @@ func TestPoolServerDeadline(t *testing.T) {
 	}
 	defer srv.Close()
 	p := dialTestPool(t, addr, PoolOptions{})
+	start := time.Now()
 	_, err = p.Exec("SELECT * FROM dept")
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expected deadline error, got %v", err)
 	}
+	if d := time.Since(start); d > 150*time.Millisecond {
+		t.Fatalf("deadline response took %v, want ~10ms", d)
+	}
 	if srv.ServerStats().Timeouts == 0 {
 		t.Fatal("server did not count the timeout")
+	}
+}
+
+// TestPoolExecCtxDeadline: a caller deadline that expires while the server is
+// still stalling before the result header surfaces the context error as the
+// transport cause, promptly, and leaves the pool serving.
+func TestPoolExecCtxDeadline(t *testing.T) {
+	e := newTestEngine(t)
+	srv := NewServerWithOptions(e, ServerOptions{
+		Faults: &ListenerFaults{Seed: 1, DelayRate: 1, Delay: 300 * time.Millisecond},
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	p := dialTestPool(t, addr, PoolOptions{Redial: true})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = p.ExecCtx(ctx, "SELECT * FROM emp")
+	if !errors.Is(err, context.DeadlineExceeded) || !IsTransient(err) {
+		t.Fatalf("expired request returned %v, want a transient context.DeadlineExceeded cause", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("cancellation took %v, want ~50ms", d)
+	}
+	if _, err := p.Exec("SELECT * FROM emp"); err != nil {
+		t.Fatalf("pool unusable after an expired request: %v", err)
 	}
 }
 
@@ -369,6 +349,11 @@ func TestPoolServerShed(t *testing.T) {
 	wg.Wait()
 	if !shedSeen.get() && srv.ServerStats().Shed == 0 {
 		t.Fatal("admission control never shed under overload")
+	}
+	// A shed request is a terminal frame, not a broken connection: the pool
+	// keeps serving once load clears.
+	if _, err := p.Exec("SELECT * FROM dept"); err != nil {
+		t.Fatalf("pool unusable after shedding: %v", err)
 	}
 }
 

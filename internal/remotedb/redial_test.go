@@ -2,89 +2,44 @@ package remotedb
 
 import (
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestTCPBrokenConnFailsFast(t *testing.T) {
+// TestPoolBrokenConnFailsFast: when the server dies under a pool without
+// Redial, requests fail promptly with a transient error instead of hanging
+// on, or decoding from, the dead socket.
+func TestPoolBrokenConnFailsFast(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
-	c, err := DialTCP(addr, DefaultCosts()) // no redial
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec("SELECT * FROM dept"); err != nil {
+	p := dialTestPool(t, addr, PoolOptions{})
+	if _, err := p.Exec("SELECT * FROM dept"); err != nil {
 		t.Fatal(err)
 	}
 	cleanup() // kill the server mid-session
 
-	// First call after the kill fails at I/O level and breaks the stream.
-	_, err = c.Exec("SELECT * FROM dept")
-	if err == nil {
-		t.Fatal("exec against dead server should fail")
+	if _, err := p.Exec("SELECT * FROM dept"); err == nil || !IsTransient(err) {
+		t.Fatalf("exec against dead server: got %v, want a transient failure", err)
 	}
-	if !IsTransient(err) {
-		t.Fatalf("I/O failure should be transient: %v", err)
-	}
-	// Subsequent calls fail fast with the typed broken-conn error instead of
-	// decoding from a desynced gob stream.
 	start := time.Now()
-	_, err = c.Exec("SELECT * FROM dept")
-	if !errors.Is(err, ErrBrokenConn) {
-		t.Fatalf("want ErrBrokenConn, got %v", err)
+	if _, err := p.Exec("SELECT * FROM dept"); err == nil || !IsTransient(err) {
+		t.Fatalf("second exec against dead server: got %v, want a transient failure", err)
 	}
-	if time.Since(start) > 100*time.Millisecond {
-		t.Fatal("broken-conn failure was not fast")
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("failure against a dead server took %v, want fast", d)
 	}
 }
 
-func TestTCPRedialAcrossServerRestart(t *testing.T) {
-	addr, engine, cleanup := startTestServer(t)
-	c, err := DialTCPOpts(addr, TCPOptions{
-		Costs:       DefaultCosts(),
-		Redial:      true,
-		DialTimeout: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec("SELECT * FROM dept"); err != nil {
-		t.Fatal(err)
-	}
-
-	cleanup()
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Fatal("exec against dead server should fail")
-	}
-	// Server still down: the redial itself fails, transiently.
-	if _, err := c.Exec("SELECT * FROM dept"); !IsTransient(err) {
-		t.Fatalf("failed redial should be transient: %v", err)
-	}
-
-	// Restart on the same address; the next call redials transparently.
-	srv2 := NewServer(engine)
-	if _, err := srv2.Listen(addr); err != nil {
-		t.Fatalf("restart on %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	res, err := c.Exec("SELECT * FROM dept")
-	if err != nil {
-		t.Fatalf("exec after restart should redial and succeed: %v", err)
-	}
-	if res.Rel.Len() != 3 {
-		t.Fatalf("rows = %d, want 3", res.Rel.Len())
-	}
-	if c.Redials() < 2 {
-		t.Fatalf("redials = %d, want >= 2 (initial + reconnect)", c.Redials())
-	}
-	// Close still wins over redial.
-	c.Close()
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Fatal("closed client must not redial")
-	}
+// connGen reads the dial generation of pool connection i: it moves only when
+// the connection is re-dialed.
+func connGen(p *PoolClient, i int) uint64 {
+	c := p.conns[i]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
 }
 
 func TestServerIdleTimeoutDropsDeadPeers(t *testing.T) {
@@ -95,29 +50,35 @@ func TestServerIdleTimeoutDropsDeadPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialTCP(addr, DefaultCosts())
+
+	// A peer that completes the handshake and then goes silent is dropped.
+	conn, _, dec := rawHello(t, addr)
+	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var f wireFrame
+	if err := dec.Decode(&f); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer after hello: read %v, want EOF from the server's close", err)
+	}
+	// So is one that connects and never says hello.
+	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	if _, err := c.Exec("SELECT * FROM dept"); err != nil {
-		t.Fatal(err)
+	defer raw.Close()
+	raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer before hello: read %v, want EOF from the server's close", err)
 	}
-	time.Sleep(200 * time.Millisecond) // exceed the idle deadline
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Fatal("server should have dropped the idle connection")
-	}
-	// An active client inside the idle window is unaffected.
-	c2, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
+
+	// An active pool inside the idle window keeps its connection.
+	p := dialTestPool(t, addr, PoolOptions{})
 	for i := 0; i < 5; i++ {
-		if _, err := c2.Exec("SELECT * FROM dept"); err != nil {
+		if _, err := p.Exec("SELECT * FROM dept"); err != nil {
 			t.Fatalf("active connection dropped: %v", err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	if g := connGen(p, 0); g != 1 {
+		t.Fatalf("active connection was re-dialed (generation %d)", g)
 	}
 }
 
@@ -135,19 +96,17 @@ func TestServerCloseUnderLoad(t *testing.T) {
 	const workers = 8
 	var stopped atomic.Bool
 	var wg sync.WaitGroup
-	errCount := int64(0)
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialTCP(addr, DefaultCosts())
+			p, err := DialPool(addr, PoolOptions{Costs: DefaultCosts()})
 			if err != nil {
 				return
 			}
-			defer c.Close()
+			defer p.Close()
 			for !stopped.Load() {
-				if _, err := c.Exec("SELECT e.name FROM emp e, dept d WHERE e.dept = d.id"); err != nil {
-					atomic.AddInt64(&errCount, 1)
+				if _, err := p.Exec("SELECT e.name FROM emp e, dept d WHERE e.dept = d.id"); err != nil {
 					return // connection error, as expected after Close
 				}
 			}
@@ -175,7 +134,8 @@ func TestServerCloseUnderLoad(t *testing.T) {
 		t.Fatal("clients hung after server close")
 	}
 	// New connections must be refused.
-	if _, err := DialTCP(addr, DefaultCosts()); err == nil {
+	if p, err := DialPool(addr, PoolOptions{}); err == nil {
+		p.Close()
 		t.Fatal("dial after close should fail")
 	}
 }
@@ -189,15 +149,11 @@ func TestServerShutdownDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := dialTestPool(t, addr, PoolOptions{})
 
 	results := make(chan error, 1)
 	go func() {
-		_, err := c.Exec("SELECT e.name FROM emp e, dept d WHERE e.dept = d.id")
+		_, err := p.Exec("SELECT e.name FROM emp e, dept d WHERE e.dept = d.id")
 		results <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -214,7 +170,7 @@ func TestServerShutdownDrains(t *testing.T) {
 		t.Fatal("in-flight request hung across Shutdown")
 	}
 	// The drained server accepts no further work.
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
+	if _, err := p.Exec("SELECT * FROM dept"); err == nil {
 		t.Fatal("exec after shutdown should fail")
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // This file is the server half of the framed wire protocol (frame.go): after the
-// hello handshake flips a connection into framed mode, serveFramed reads
+// hello handshake (server.go), serveFramed reads
 // request/cancel frames, runs each request in its own goroutine gated by a
 // per-connection execution slot, and streams exec results back as
 // header/batch/end frames. The write path is shared (one mutex), so responses
@@ -43,7 +43,7 @@ type framedConn struct {
 	sem chan struct{} // per-connection execution slots (ConnStreams)
 }
 
-// serveFramed serves one negotiated framed connection until the peer goes
+// serveFramed serves one connection after its handshake until the peer goes
 // away or violates the protocol. On return, in-flight streams are canceled and their
 // handlers drained (on server shutdown they are instead allowed to finish, so
 // responses in flight are written before the connection drops).
@@ -174,7 +174,7 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	// Adopt the trace ID the request carried so every span recorded under ctx
 	// — the server span here and the engine's plan-cache/optimize/execute
 	// spans below — stitches into the client's distributed trace. A zero ID
-	// (untraced request, v1-era client) leaves the context unchanged.
+	// (untraced request) leaves the context unchanged.
 	ctx = obs.WithTraceID(ctx, req.Trace)
 	sctx, sp := s.opts.Tracer.Start(ctx, "server.stream")
 	sp.Set("op", req.Op)
@@ -193,7 +193,7 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 	}
 	release := func() { <-fc.sem }
 
-	// Admission control shares the server-wide semaphore with the v1 path.
+	// Admission control: one server-wide semaphore across all connections.
 	if s.inflight != nil {
 		select {
 		case s.inflight <- struct{}{}:
@@ -207,9 +207,8 @@ func (fc *framedConn) handleStream(ctx context.Context, id uint64, req *wireRequ
 		}
 	}
 
-	// A drop fault is a wire-level failure: the whole connection dies, as it
-	// would on the v1 path.
-	keep, delay := s.rollFault2()
+	// A drop fault is a wire-level failure: the whole connection dies.
+	keep, delay := s.rollFault()
 	if !keep {
 		release()
 		fc.conn.Close()
@@ -350,8 +349,7 @@ func (k *streamKiller) afterWrite() (killed bool) {
 // context, honoring an injected fault delay as slow server work. Work still
 // running at the deadline or at cancellation is abandoned — it completes in
 // the background and releases its execution/admission slots then, so
-// abandoned work keeps counting against the limits while it burns CPU (same
-// semantics as the v1 dispatch path).
+// abandoned work keeps counting against the limits while it burns CPU.
 func (s *Server) runBounded(ctx context.Context, req *wireRequest, delay time.Duration, release func()) (wireResponse, bool) {
 	ch := make(chan wireResponse, 1)
 	go func() {

@@ -1,7 +1,6 @@
 package remotedb
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -17,64 +16,9 @@ func startTestServer(t *testing.T) (addr string, e *Engine, cleanup func()) {
 	return addr, e, func() { srv.Close() }
 }
 
-func TestTCPRoundTrip(t *testing.T) {
-	addr, _, cleanup := startTestServer(t)
-	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	res, err := c.Exec("SELECT name FROM emp WHERE dept = 10 ORDER BY name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel.Len() != 2 || res.Rel.Tuple(0)[0].AsString() != "alice" {
-		t.Fatalf("tcp result wrong: %v", res.Rel)
-	}
-	if res.SimMS <= 0 {
-		t.Fatal("sim cost not charged")
-	}
-
-	sch, err := c.RelationSchema("emp", 4)
-	if err != nil || sch.ColIndex("salary") != 3 {
-		t.Fatalf("schema over tcp wrong: %v %v", sch, err)
-	}
-	st, err := c.TableStats("dept")
-	if err != nil || st.Rows != 3 {
-		t.Fatalf("stats over tcp wrong: %+v %v", st, err)
-	}
-	tables, err := c.Tables()
-	if err != nil || len(tables) != 2 {
-		t.Fatalf("tables over tcp wrong: %v %v", tables, err)
-	}
-	if got := c.Stats(); got.Requests != 1 || got.TuplesReturned != 2 {
-		t.Fatalf("client stats wrong: %+v", got)
-	}
-}
-
-func TestTCPErrorPropagation(t *testing.T) {
-	addr, _, cleanup := startTestServer(t)
-	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Exec("SELECT * FROM missing"); err == nil || !strings.Contains(err.Error(), "missing") {
-		t.Fatalf("expected remote error, got %v", err)
-	}
-	// Connection still usable after an error.
-	if _, err := c.Exec("SELECT * FROM dept"); err != nil {
-		t.Fatalf("connection unusable after error: %v", err)
-	}
-	if _, err := c.RelationSchema("missing", -1); err == nil {
-		t.Error("schema error should propagate")
-	}
-}
-
-func TestTCPConcurrentClients(t *testing.T) {
+// TestPoolConcurrentClients: independent pools, one connection each, run
+// joins against one server at the same time without crosstalk.
+func TestPoolConcurrentClients(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
 	var wg sync.WaitGroup
@@ -83,20 +27,20 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := DialTCP(addr, DefaultCosts())
+			p, err := DialPool(addr, PoolOptions{Costs: DefaultCosts()})
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer c.Close()
+			defer p.Close()
 			for j := 0; j < 20; j++ {
-				res, err := c.Exec("SELECT e.name FROM emp e, dept d WHERE e.dept = d.id")
+				res, err := p.Exec("SELECT e.name FROM emp e, dept d WHERE e.dept = d.id")
 				if err != nil {
 					errs <- err
 					return
 				}
 				if res.Rel.Len() != 4 {
-					errs <- err
+					t.Errorf("join returned %d rows, want 4", res.Rel.Len())
 					return
 				}
 			}
@@ -105,39 +49,36 @@ func TestTCPConcurrentClients(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
 }
 
-func TestTCPClientClosed(t *testing.T) {
+func TestPoolClosed(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
 	defer cleanup()
-	c, err := DialTCP(addr, DefaultCosts())
+	p, err := DialPool(addr, PoolOptions{Costs: DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
-		t.Error("exec on closed client should error")
+	if _, err := p.Exec("SELECT * FROM dept"); err == nil {
+		t.Error("exec on closed pool should error")
 	}
-	if err := c.Close(); err != nil {
+	if _, err := p.Tables(); err == nil {
+		t.Error("catalog request on closed pool should error")
+	}
+	if err := p.Close(); err != nil {
 		t.Error("double close should be fine")
 	}
 }
 
 func TestServerCloseUnblocksClients(t *testing.T) {
 	addr, _, cleanup := startTestServer(t)
-	c, err := DialTCP(addr, DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	p := dialTestPool(t, addr, PoolOptions{})
 	cleanup()
-	if _, err := c.Exec("SELECT * FROM dept"); err == nil {
+	if _, err := p.Exec("SELECT * FROM dept"); err == nil {
 		t.Error("exec against closed server should error")
 	}
 }

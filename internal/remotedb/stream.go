@@ -96,7 +96,7 @@ func ExecStreamContext(ctx context.Context, c Client, sql string) (TupleStream, 
 }
 
 // materializedStream adapts a fully materialized Result to the TupleStream
-// surface (the v1 / in-process fallback).
+// surface (the in-process fallback).
 type materializedStream struct {
 	res    *Result
 	it     relation.Iterator

@@ -6,10 +6,10 @@ import (
 	"repro/internal/relation"
 )
 
-// Gob representation for the v1 protocol, the handshake and the WAL.
+// Gob representation for the handshake, the frame envelope and the WAL.
 // relation.Value keeps its fields unexported (by design), so these paths use
-// explicit, versionable mirror types encoded with encoding/gob. Framed (v3)
-// tuple batches do not: they use the typed batch codec of batch.go.
+// explicit, versionable mirror types encoded with encoding/gob. Tuple batches
+// do not: they use the typed batch codec of batch.go.
 
 type wireValue struct {
 	Kind uint8
@@ -101,22 +101,16 @@ func fromWireRelation(w *wireRelation) (*relation.Relation, error) {
 
 // wireRequest is one protocol request. Op selects the action.
 //
-// Op "hello" is the protocol negotiation handshake: a framed-protocol client
-// opens every connection with hello carrying its highest supported version in
-// Proto; the server answers with the version it accepts for this connection
-// (wireResponse.Proto) and, when that is 3, both sides switch the connection
-// to framed mode (frame.go) with typed batch frames (batch.go). A hello
-// offering exactly 2 — a peer that only knows gob-encoded batches — is served
-// v1, as is any hello to a v1 server (which answers with its usual "unknown
-// op" semantic error, and a v3 client treats that as a negotiation of v1).
-// A v3 client that is answered 2 by a v2-era server redials and speaks v1, so
-// typed batches never meet a peer that would read them as empty. Old clients,
-// which never send hello, keep speaking v1 to new servers.
-// Op "ping" is a liveness probe: the server answers with an empty success
-// response (v1) or an empty frameEnd (framed) without touching the engine. A v1
-// or pre-ping server answers with its "unknown op" semantic error — which is
-// still a response, so probes treat ANY reply as proof of liveness and only
-// transport/protocol failures as death.
+// Op "hello" is the handshake, and it must be a connection's first message:
+// the client offers protocol 3 in Proto with its frame-size hint, the server
+// answers Proto 3 (wireResponse) and both sides switch the connection to
+// framed mode (frame.go) with typed batch frames (batch.go). There is no
+// fallback. A server refuses any other first message, or a hello offering
+// less than 3, with an error response and closes the connection; a client
+// treats any answer other than Proto 3 as a *ProtocolError. A pre-v3 peer
+// therefore fails loudly instead of reading typed batches as empty.
+// Op "ping" is a liveness probe: the server answers with an empty frameEnd
+// without touching the engine.
 type wireRequest struct {
 	Op   string // "exec", "schema", "stats", "tables", "hello", "ping"
 	SQL  string
@@ -137,23 +131,13 @@ type wireRequest struct {
 	Skip int64
 	// Trace is the client's trace ID for this request (0: untraced). The
 	// server adopts it for the spans its execution records, stitching client
-	// and server into one distributed trace. Gob ignores fields the peer
-	// doesn't know, so v1/older binaries interoperate unchanged.
+	// and server into one distributed trace.
 	Trace uint64
 }
 
-// Protocol versions.
-const (
-	protoV1 = 1 // monolithic request/response, one outstanding request per conn
-	// protoV2 framed connections shipped gob [][]wireValue batches. This build
-	// no longer speaks it; the constant only names what a v2-era peer offers
-	// or answers in the handshake, so both sides can fall back to v1.
-	protoV2 = 2
-	protoV3 = 3 // framed: typed batch frames, request-ID multiplexing
-
-	// protoMax is the highest version this build speaks.
-	protoMax = protoV3
-)
+// protoV3 is the only protocol version this build speaks: framed, typed
+// batch frames, request-ID multiplexing.
+const protoV3 = 3
 
 // Wire error codes: Err carries the human-readable message, Code the machine
 // classification, so clients can distinguish overload shedding, server
@@ -166,32 +150,25 @@ const (
 	wireCodeCanceled   = 3 // stream stopped by a client cancel frame (framed)
 )
 
-// wireResponse is one protocol response.
+// wireResponse is the hello answer on the wire, and the in-process result of
+// one executed request before the framed server ships it as frames.
 type wireResponse struct {
 	Err    string
 	Code   int // wireCode* classification of Err
-	Rel    *wireRelation
 	Ops    int64
 	Attrs  []wireAttr
 	Stats  TableStats
 	Tables []string
 	// Proto is the server's accepted protocol version (hello response only).
 	Proto int
-	// Epoch is the server's catalog generation when the response was built.
-	// Like wireRequest.Trace, it is a gob-level extension: pre-epoch peers
-	// decode responses carrying it by ignoring the unknown field, and gob
-	// omits the zero value entirely, so old servers cost new clients nothing.
-	// The CMS uses it to detect that cached views predate the backend state.
-	Epoch uint64
 
-	// rel is an exec result before conversion. Gob skips unexported fields:
-	// the v1 path converts it into Rel just before encoding, and the framed
-	// path ships it as typed batches without building gob rows at all.
+	// rel is an exec result. Gob skips unexported fields: the framed path
+	// ships it as typed batches without building gob rows at all.
 	rel *relation.Relation
 }
 
-// toWireTuples converts a slice of tuples to gob mirror rows (a v1 result or
-// a WAL insert record).
+// toWireTuples converts a slice of tuples to gob mirror rows (a WAL insert
+// record).
 func toWireTuples(tuples []relation.Tuple) [][]wireValue {
 	rows := make([][]wireValue, len(tuples))
 	for i, t := range tuples {
